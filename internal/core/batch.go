@@ -25,31 +25,17 @@ type BatchResult struct {
 
 // DecomposeBatch decomposes every image with the given bank and depth
 // using a pool of workers (0 = GOMAXPROCS). Outputs are order-preserving
-// and identical to calling wavelet.Decompose on each input. All images
-// must share dimensions decomposable to the requested depth; the first
-// offending image aborts the batch.
-func DecomposeBatch(images []*image.Image, bank *filter.Bank, ext filter.Extension, levels, workers int) (*BatchResult, error) {
-	return DecomposeBatchCtx(context.Background(), images, bank, ext, levels, workers)
-}
-
-// DecomposeBatchTolCtx is DecomposeBatchCtx with a drift tolerance:
-// each image runs through wavelet.DecomposeTol, so the whole batch
-// rides the lifting tier when (bank, ext, tol) admit it and is
-// otherwise identical to DecomposeBatchCtx.
-func DecomposeBatchTolCtx(ctx context.Context, images []*image.Image, bank *filter.Bank, ext filter.Extension, levels, workers int, tol float64) (*BatchResult, error) {
-	return decomposeBatch(ctx, images, bank, ext, levels, workers, tol)
-}
-
-// DecomposeBatchCtx is DecomposeBatch under a context: once ctx ends,
-// workers skip every image not yet started and the call returns the
-// context's error (images already in flight run to completion, so the
-// cancellation latency is one transform). The serve layer's
-// micro-batching uses this to honor deadlines between images.
-func DecomposeBatchCtx(ctx context.Context, images []*image.Image, bank *filter.Bank, ext filter.Extension, levels, workers int) (*BatchResult, error) {
-	return decomposeBatch(ctx, images, bank, ext, levels, workers, 0)
-}
-
-func decomposeBatch(ctx context.Context, images []*image.Image, bank *filter.Bank, ext filter.Extension, levels, workers int, tol float64) (*BatchResult, error) {
+// and identical to calling wavelet.DecomposeTol on each input with the
+// drift tolerance tol, so the whole batch rides the lifting tier when
+// (bank, ext, tol) admit it. All images must share dimensions
+// decomposable to the requested depth; the first offending image aborts
+// the batch.
+//
+// Once ctx ends, workers skip every image not yet started and the call
+// returns the context's error (images already in flight run to
+// completion, so the cancellation latency is one transform). The serve
+// layer's micro-batching uses this to honor deadlines between images.
+func DecomposeBatch(ctx context.Context, images []*image.Image, bank *filter.Bank, ext filter.Extension, levels, workers int, tol float64) (*BatchResult, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

@@ -8,6 +8,7 @@ import (
 	"wavelethpc/internal/image"
 	"wavelethpc/internal/nx"
 	"wavelethpc/internal/wavelet"
+	"wavelethpc/internal/wavelet/kernel"
 )
 
 // Block decomposition: the alternative the paper's Figure 3 argues
@@ -45,8 +46,8 @@ func validateBlock(rows, cols, gx, gy, f, levels int) error {
 	if br%2 != 0 || bc%2 != 0 {
 		return fmt.Errorf("core: deepest block %dx%d has odd dimension", br, bc)
 	}
-	if f-2 > br || f-2 > bc {
-		return fmt.Errorf("core: filter length %d needs %d guard lines but deepest blocks are %dx%d", f, f-2, br, bc)
+	if halo := wavelet.Halo(f); halo > br || halo > bc {
+		return fmt.Errorf("core: filter length %d needs %d guard lines but deepest blocks are %dx%d", f, halo, br, bc)
 	}
 	return nil
 }
@@ -56,6 +57,9 @@ func validateBlock(rows, cols, gx, gy, f, levels int) error {
 // Like DistributedDecompose it moves real pixel data, so results are
 // verified against the sequential transform.
 func BlockDecompose(im *image.Image, cfg DistConfig) (*DistResult, error) {
+	if cfg.Bank == nil {
+		return nil, errNilBank
+	}
 	p := cfg.Procs
 	f := cfg.Bank.DecLen()
 	gx, gy := BlockGrid(p)
@@ -63,6 +67,7 @@ func BlockDecompose(im *image.Image, cfg DistConfig) (*DistResult, error) {
 		return nil, err
 	}
 	cost := cfg.Machine.Cost
+	halo := wavelet.Halo(f)
 	collected := make([]stripeBands, p)
 
 	prog := func(r *nx.Rank) {
@@ -98,55 +103,65 @@ func BlockDecompose(im *image.Image, cfg DistConfig) (*DistResult, error) {
 
 			// East guard exchange for the row filtering: blocks no
 			// longer hold complete rows (Figure 3's extra transaction).
+			rows, cols := block.Rows, block.Cols/2
 			guardStart := r.Clock()
-			gw := f
-			if gw > block.Cols {
-				gw = block.Cols
-			}
+			gw := min(f, block.Cols)
 			westCols := flattenCols(block, 0, gw)
 			eastCols := flattenCols(block, block.Cols-gw, block.Cols)
 			r.Compute(float64(len(westCols)+len(eastCols))*8*cost.MemByteTime, budget.UniqueRedundancy)
 			r.SendFloats(west, tagGuardUp, westCols)
 			r.SendFloats(east, tagGuardDown, eastCols)
-			eastGuardFlat, _ := r.RecvFloats(east, tagGuardUp)
+			eastGuard, _ := r.RecvFloats(east, tagGuardUp)
 			r.RecvFloats(west, tagGuardDown) // symmetric, unused by analysis
-			eastGuard := imageFromFlatCols(block.Rows, gw, eastGuardFlat)
 			ph.guard += r.Clock() - guardStart
 
-			// Row pass using the east guard.
-			lImg, hImg := rowFilterBlock(block, eastGuard, cfg.Bank)
-			outputs := 2 * block.Rows * (block.Cols / 2)
+			// Row pass over [block | east guard]: every owned output
+			// reads the guard on the row kernel's interior path, and the
+			// halo/2 outputs past the owned half are dropped. The
+			// intermediates keep halo spare rows for the south guard.
+			lExt := image.New(rows+halo, cols)
+			hExt := image.New(rows+halo, cols)
+			x := make([]float64, block.Cols+halo)
+			dLo := make([]float64, len(x)/2)
+			dHi := make([]float64, len(x)/2)
+			for i := 0; i < rows; i++ {
+				copy(x, block.Row(i))
+				copy(x[block.Cols:], eastGuard[i*gw:i*gw+halo])
+				kernel.AnalyzeRow(x, cfg.Bank, filter.Periodic, dLo, dHi)
+				copy(lExt.Row(i), dLo)
+				copy(hExt.Row(i), dHi)
+			}
+			lImg, hImg := lExt.Sub(0, 0, rows, cols), hExt.Sub(0, 0, rows, cols)
+			outputs := 2 * rows * cols
 			r.Compute(float64(outputs)*(float64(f)*cost.MACTime+cost.CoefTime), budget.Useful)
 
 			// South guard exchange on the intermediate images for the
 			// column filtering.
 			guardStart = r.Clock()
-			gh := f
-			if gh > lImg.Rows {
-				gh = lImg.Rows
-			}
-			topGuard := append(flattenRows(lImg, 0, gh), flattenRows(hImg, 0, gh)...)
-			botGuard := append(flattenRows(lImg, lImg.Rows-gh, lImg.Rows), flattenRows(hImg, hImg.Rows-gh, hImg.Rows)...)
+			gh := min(f, rows)
+			topGuard := packRows(0, gh, lImg, hImg)
+			botGuard := packRows(rows-gh, rows, lImg, hImg)
 			r.Compute(float64(len(topGuard)+len(botGuard))*8*cost.MemByteTime, budget.UniqueRedundancy)
 			r.SendFloats(north, tagGuardUp+2, topGuard)
 			r.SendFloats(south, tagGuardDown+2, botGuard)
 			southData, _ := r.RecvFloats(south, tagGuardUp+2)
 			r.RecvFloats(north, tagGuardDown+2)
-			southL := imageFromFlat(gh, lImg.Cols, southData[:gh*lImg.Cols])
-			southH := imageFromFlat(gh, hImg.Cols, southData[gh*lImg.Cols:])
+			copy(lExt.Pix[rows*cols:], southData[:halo*cols])
+			copy(hExt.Pix[rows*cols:], southData[gh*cols:(gh+halo)*cols])
 			ph.guard += r.Clock() - guardStart
 
 			// Column pass with the south guard.
-			ll, lh := colFilterStripe(lImg, southL, cfg.Bank)
-			hl, hh := colFilterStripe(hImg, southH, cfg.Bank)
-			outputs = 4 * (block.Rows / 2) * (block.Cols / 2)
+			half := rows / 2
+			ll := image.New(half, cols)
+			lh := image.New(half, cols)
+			hl := image.New(half, cols)
+			hh := image.New(half, cols)
+			stripeCols(ll, lh, lExt, cfg.Bank, 0, half)
+			stripeCols(hl, hh, hExt, cfg.Bank, 0, half)
+			outputs = 4 * half * cols
 			r.Compute(float64(outputs)*(float64(f)*cost.MACTime+cost.CoefTime), budget.Useful)
 
-			myBands.details[cfg.Levels-1-l] = [3][]float64{
-				flattenRows(lh, 0, lh.Rows),
-				flattenRows(hl, 0, hl.Rows),
-				flattenRows(hh, 0, hh.Rows),
-			}
+			myBands.details[cfg.Levels-1-l] = [3][]float64{lh.Pix, hl.Pix, hh.Pix}
 			block = ll
 			r.Barrier()
 		}
@@ -154,32 +169,7 @@ func BlockDecompose(im *image.Image, cfg DistConfig) (*DistResult, error) {
 		ph.afterDecompose = r.Clock()
 
 		// --- Gather: one packed message per rank ----------------------
-		if id != 0 {
-			packed := myBands.approx
-			for l := 0; l < cfg.Levels; l++ {
-				for b := 0; b < 3; b++ {
-					packed = append(packed, myBands.details[l][b]...)
-				}
-			}
-			r.Compute(float64(len(packed))*8*cost.MemByteTime, budget.UniqueRedundancy)
-			r.SendFloats(0, tagResult, packed)
-		} else {
-			collected[0] = myBands
-			for src := 1; src < p; src++ {
-				packed, _ := r.RecvFloats(src, tagResult)
-				var in stripeBands
-				n := len(myBands.approx)
-				in.approx, packed = packed[:n], packed[n:]
-				in.details = make([][3][]float64, cfg.Levels)
-				for l := 0; l < cfg.Levels; l++ {
-					for b := 0; b < 3; b++ {
-						n = len(myBands.details[l][b])
-						in.details[l][b], packed = packed[:n], packed[n:]
-					}
-				}
-				collected[src] = in
-			}
-		}
+		gatherBands(r, myBands, collected, cost)
 		ph.done = r.Clock()
 		r.SetResult(ph)
 	}
@@ -188,19 +178,13 @@ func BlockDecompose(im *image.Image, cfg DistConfig) (*DistResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &DistResult{Sim: sim}
-	for _, v := range sim.Values {
-		ph := v.(rankPhases)
-		res.ScatterTime = maxf(res.ScatterTime, ph.afterScatter)
-		res.DecomposeTime = maxf(res.DecomposeTime, ph.afterDecompose-ph.afterScatter)
-		res.GatherTime = maxf(res.GatherTime, ph.done-ph.afterDecompose)
-		res.GuardTime = maxf(res.GuardTime, ph.guard)
-	}
+	res := reducePhases(sim)
 	res.Pyramid = assembleBlocks(collected, im.Rows, im.Cols, gx, gy, cfg)
 	return res, nil
 }
 
-// assembleBlocks stitches per-rank blocks back into a full pyramid.
+// assembleBlocks stitches per-rank blocks of a gx×gy grid (ranks
+// row-major) back into a full pyramid; a stripe layout is the 1×p grid.
 func assembleBlocks(collected []stripeBands, rows, cols, gx, gy int, cfg DistConfig) *wavelet.Pyramid {
 	pyr := &wavelet.Pyramid{Bank: cfg.Bank, Ext: filter.Periodic, Levels: make([]wavelet.DetailBands, cfg.Levels)}
 	ar := rows >> uint(cfg.Levels)
@@ -242,41 +226,4 @@ func flattenCols(im *image.Image, c0, c1 int) []float64 {
 		out = append(out, im.Row(r)[c0:c1]...)
 	}
 	return out
-}
-
-// imageFromFlatCols rebuilds a rows×w column slab from flattenCols output.
-func imageFromFlatCols(rows, w int, flat []float64) *image.Image {
-	return imageFromFlat(rows, w, flat)
-}
-
-// rowFilterBlock filters the rows of a block extended on the east by the
-// guard columns. Output column j uses input columns 2j..2j+f-1 of the
-// extended block.
-func rowFilterBlock(block, eastGuard *image.Image, bank *filter.Bank) (l, h *image.Image) {
-	rows, cols := block.Rows, block.Cols
-	l = image.New(rows, cols/2)
-	h = image.New(rows, cols/2)
-	for r := 0; r < rows; r++ {
-		src := block.Row(r)
-		guard := eastGuard.Row(r)
-		at := func(c int) float64 {
-			if c < cols {
-				return src[c]
-			}
-			return guard[c-cols]
-		}
-		lRow, hRow := l.Row(r), h.Row(r)
-		for j := 0; j < cols/2; j++ {
-			var accLo, accHi float64
-			for k, w := range bank.DecLo {
-				accLo += w * at(2*j+k)
-			}
-			for k, w := range bank.DecHi {
-				accHi += w * at(2*j+k)
-			}
-			lRow[j] = accLo
-			hRow[j] = accHi
-		}
-	}
-	return l, h
 }

@@ -35,7 +35,7 @@ func TestParallelDecomposeMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 2, 3, 7, 16} {
-			par, err := ParallelDecompose(im, bank, filter.Periodic, 3, workers)
+			par, err := ParallelDecompose(im, bank, filter.Periodic, 3, workers, 0)
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}
@@ -48,7 +48,7 @@ func TestParallelDecomposeMatchesSequential(t *testing.T) {
 
 func TestParallelDecomposeDefaultWorkers(t *testing.T) {
 	im := testImage()
-	p, err := ParallelDecompose(im, filter.Haar(), filter.Periodic, 2, 0)
+	p, err := ParallelDecompose(im, filter.Haar(), filter.Periodic, 2, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestParallelDecomposeDefaultWorkers(t *testing.T) {
 }
 
 func TestParallelDecomposeRejectsBadShapes(t *testing.T) {
-	if _, err := ParallelDecompose(image.New(100, 128), filter.Haar(), filter.Periodic, 3, 2); err == nil {
+	if _, err := ParallelDecompose(image.New(100, 128), filter.Haar(), filter.Periodic, 3, 2, 0); err == nil {
 		t.Error("100 rows accepted for 3 levels")
 	}
 }
@@ -67,7 +67,7 @@ func TestParallelDecomposeRejectsBadShapes(t *testing.T) {
 func TestParallelReconstructRoundTrip(t *testing.T) {
 	im := testImage()
 	for _, workers := range []int{1, 4} {
-		p, err := ParallelDecompose(im, filter.Daubechies4(), filter.Periodic, 3, workers)
+		p, err := ParallelDecompose(im, filter.Daubechies4(), filter.Periodic, 3, workers, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,6 +141,9 @@ func TestDistributedValidation(t *testing.T) {
 	// Non-dividing rank count.
 	if _, err := DistributedDecompose(im, distCfg(3, filter.Haar(), 1)); err == nil {
 		t.Error("non-dividing rank count accepted")
+	}
+	if _, err := DistributedDecompose(im, distCfg(4, nil, 1)); err == nil {
+		t.Error("nil bank accepted")
 	}
 }
 
@@ -346,6 +349,9 @@ func TestBlockValidation(t *testing.T) {
 	// blocks are 8x8, f-2=6 <= 8 fine; but 4 levels: deepest 4x4 < 6.
 	if _, err := BlockDecompose(im, distCfg(16, filter.Daubechies8(), 4)); err == nil {
 		t.Error("undersized deepest block accepted")
+	}
+	if _, err := BlockDecompose(im, distCfg(4, nil, 1)); err == nil {
+		t.Error("nil bank accepted")
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"wavelethpc/internal/budget"
@@ -10,6 +11,7 @@ import (
 	"wavelethpc/internal/mesh"
 	"wavelethpc/internal/nx"
 	"wavelethpc/internal/wavelet"
+	"wavelethpc/internal/wavelet/kernel"
 )
 
 // DistConfig describes one simulated coarse-grain MIMD decomposition run.
@@ -22,7 +24,9 @@ type DistConfig struct {
 	// Procs is the number of SPMD ranks.
 	Procs int
 	// Bank and Levels select the filter/depth configuration (F8/L1,
-	// F4/L2, F2/L4 in the paper).
+	// F4/L2, F2/L4 in the paper). The decompositions require Bank;
+	// DistributedReconstruct uses the pyramid's own bank and accepts a
+	// nil Bank.
 	Bank   *filter.Bank
 	Levels int
 	// Overlap posts the guard-zone receives asynchronously and filters
@@ -72,7 +76,8 @@ const (
 // validateStriped checks the divisibility constraints of the striped
 // decomposition: every level's stripe must have an even, positive number
 // of rows on every rank, and the deepest stripe must be tall enough to
-// supply its neighbor's guard zone.
+// supply its neighbor's guard zone — the planner's halo for a filter of
+// support f (wavelet.Halo).
 func validateStriped(rows, cols, p, f, levels int) error {
 	if err := wavelet.CheckDecomposable(rows, cols, levels); err != nil {
 		return err
@@ -85,11 +90,14 @@ func validateStriped(rows, cols, p, f, levels int) error {
 	if lr%2 != 0 {
 		return fmt.Errorf("core: deepest stripe height %d is odd", lr)
 	}
-	if f-2 > lr {
-		return fmt.Errorf("core: filter length %d needs %d guard rows but deepest stripes have only %d rows", f, f-2, lr)
+	if halo := wavelet.Halo(f); halo > lr {
+		return fmt.Errorf("core: filter length %d needs %d guard rows but deepest stripes have only %d rows", f, halo, lr)
 	}
 	return nil
 }
+
+// errNilBank reports a distributed run configured without a filter bank.
+var errNilBank = errors.New("core: DistConfig.Bank is nil")
 
 // DistributedDecompose runs the paper's striped SPMD algorithm on the
 // simulated machine: rank 0 scatters row stripes, every level row-filters
@@ -113,12 +121,16 @@ func DistributedDecomposeCtx(ctx context.Context, im *image.Image, cfg DistConfi
 // and writes periodic checkpoints at level boundaries. With ft == nil the
 // run is byte-identical to the original fault-free program.
 func distributedDecompose(ctx context.Context, im *image.Image, cfg DistConfig, ft *ftRun) (*DistResult, error) {
+	if cfg.Bank == nil {
+		return nil, errNilBank
+	}
 	p := cfg.Procs
 	f := cfg.Bank.DecLen()
 	if err := validateStriped(im.Rows, im.Cols, p, f, cfg.Levels); err != nil {
 		return nil, err
 	}
 	cost := cfg.Machine.Cost
+	halo := wavelet.Halo(f)
 
 	// Per-rank result stripes land here.
 	collected := make([]stripeBands, p)
@@ -160,22 +172,27 @@ func distributedDecompose(ctx context.Context, im *image.Image, cfg DistConfig, 
 			r.ComputeOps(30, cost.FlopTime, budget.UniqueRedundancy)
 
 			// Row pass: full rows are local, no guard needed (Figure 3).
-			lImg, hImg := rowFilterStripe(stripe, cfg.Bank)
-			outputs := 2 * stripe.Rows * (stripe.Cols / 2)
+			// The intermediates keep halo spare rows below the stripe,
+			// where the south guard is received.
+			rows, cols := stripe.Rows, stripe.Cols/2
+			lExt := image.New(rows+halo, cols)
+			hExt := image.New(rows+halo, cols)
+			kernel.AnalyzeRowsRange(lExt, hExt, stripe, cfg.Bank, filter.Periodic, 0, rows)
+			lImg, hImg := lExt.Sub(0, 0, rows, cols), hExt.Sub(0, 0, rows, cols)
+			outputs := 2 * rows * cols
 			r.Compute(float64(outputs)*(float64(f)*cost.MACTime+cost.CoefTime), budget.Useful)
 
 			// Guard-zone exchange "around the processor local data":
 			// each rank ships its top rows to the previous rank and its
-			// bottom rows to the next, for both intermediate images.
+			// bottom rows to the next, for both intermediate images. The
+			// simulated guard is the calibrated min(f, rows) rows; the
+			// column pass reads only its first halo rows.
 			guardStart := r.Clock()
-			g := f
-			if g > lImg.Rows {
-				g = lImg.Rows
-			}
+			g := min(f, rows)
 			prev := (id - 1 + p) % p
 			next := (id + 1) % p
-			topGuard := append(flattenRows(lImg, 0, g), flattenRows(hImg, 0, g)...)
-			botGuard := append(flattenRows(lImg, lImg.Rows-g, lImg.Rows), flattenRows(hImg, hImg.Rows-g, hImg.Rows)...)
+			topGuard := packRows(0, g, lImg, hImg)
+			botGuard := packRows(rows-g, rows, lImg, hImg)
 			r.Compute(float64(len(topGuard)+len(botGuard))*8*cost.MemByteTime, budget.UniqueRedundancy)
 			r.SendFloats(prev, tagGuardUp, topGuard)
 			r.SendFloats(next, tagGuardDown, botGuard)
@@ -186,8 +203,7 @@ func distributedDecompose(ctx context.Context, im *image.Image, cfg DistConfig, 
 			// Column pass. With Overlap, the interior output rows (whose
 			// filter support never reaches the guard) are computed while
 			// the exchange is still in flight.
-			half := stripe.Rows / 2
-			cols := stripe.Cols / 2
+			half := rows / 2
 			perOut := float64(f)*cost.MACTime + cost.CoefTime
 			ll := image.New(half, cols)
 			lh := image.New(half, cols)
@@ -195,34 +211,28 @@ func distributedDecompose(ctx context.Context, im *image.Image, cfg DistConfig, 
 			hh := image.New(half, cols)
 			jInt := 0
 			if cfg.Overlap {
-				jInt = (lImg.Rows-f)/2 + 1
-				if lImg.Rows < f {
-					// Truncating division mishandles Rows-f = -1 (odd
+				jInt = (rows-f)/2 + 1
+				if rows < f {
+					// Truncating division mishandles rows-f = -1 (odd
 					// filter lengths): no output row is interior then.
 					jInt = 0
 				}
-				if jInt > half {
-					jInt = half
-				}
-				colFilterRange(ll, lh, lImg, nil, cfg.Bank, 0, jInt)
-				colFilterRange(hl, hh, hImg, nil, cfg.Bank, 0, jInt)
+				jInt = min(jInt, half)
+				stripeCols(ll, lh, lImg, cfg.Bank, 0, jInt)
+				stripeCols(hl, hh, hImg, cfg.Bank, 0, jInt)
 				r.Compute(float64(4*jInt*cols)*perOut, budget.Useful)
 			}
 			waitStart := r.Clock()
 			southData, _ := reqSouth.WaitFloats()
 			reqNorth.Wait() // north guard: symmetric exchange, unused by analysis
 			ph.guard += r.Clock() - waitStart
-			southL := imageFromFlat(g, lImg.Cols, southData[:g*lImg.Cols])
-			southH := imageFromFlat(g, hImg.Cols, southData[g*lImg.Cols:])
-			colFilterRange(ll, lh, lImg, southL, cfg.Bank, jInt, half)
-			colFilterRange(hl, hh, hImg, southH, cfg.Bank, jInt, half)
+			copy(lExt.Pix[rows*cols:], southData[:halo*cols])
+			copy(hExt.Pix[rows*cols:], southData[g*cols:(g+halo)*cols])
+			stripeCols(ll, lh, lExt, cfg.Bank, jInt, half)
+			stripeCols(hl, hh, hExt, cfg.Bank, jInt, half)
 			r.Compute(float64(4*(half-jInt)*cols)*perOut, budget.Useful)
 
-			myBands.details[cfg.Levels-1-l] = [3][]float64{
-				flattenRows(lh, 0, lh.Rows),
-				flattenRows(hl, 0, hl.Rows),
-				flattenRows(hh, 0, hh.Rows),
-			}
+			myBands.details[cfg.Levels-1-l] = [3][]float64{lh.Pix, hl.Pix, hh.Pix}
 			stripe = ll
 
 			// Level-end synchronization before the next decomposition
@@ -236,35 +246,7 @@ func distributedDecompose(ctx context.Context, im *image.Image, cfg DistConfig, 
 		ph.afterDecompose = r.Clock()
 
 		// --- Gather ------------------------------------------------------
-		// Every rank packs its share of the pyramid into a single
-		// message to rank 0 (one transaction per rank, as a tuned
-		// message-passing code would).
-		if id != 0 {
-			packed := myBands.approx
-			for l := 0; l < cfg.Levels; l++ {
-				for b := 0; b < 3; b++ {
-					packed = append(packed, myBands.details[l][b]...)
-				}
-			}
-			r.Compute(float64(len(packed))*8*cost.MemByteTime, budget.UniqueRedundancy)
-			r.SendFloats(0, tagResult, packed)
-		} else {
-			collected[0] = myBands
-			for src := 1; src < p; src++ {
-				packed, _ := r.RecvFloats(src, tagResult)
-				var in stripeBands
-				n := len(myBands.approx)
-				in.approx, packed = packed[:n], packed[n:]
-				in.details = make([][3][]float64, cfg.Levels)
-				for l := 0; l < cfg.Levels; l++ {
-					for b := 0; b < 3; b++ {
-						n = len(myBands.details[l][b])
-						in.details[l][b], packed = packed[:n], packed[n:]
-					}
-				}
-				collected[src] = in
-			}
-		}
+		gatherBands(r, myBands, collected, cost)
 		ph.done = r.Clock()
 		r.SetResult(ph)
 	}
@@ -279,112 +261,95 @@ func distributedDecompose(ctx context.Context, im *image.Image, cfg DistConfig, 
 		return nil, err
 	}
 
-	res := &DistResult{Sim: sim}
-	for _, v := range sim.Values {
-		ph := v.(rankPhases)
-		res.ScatterTime = maxf(res.ScatterTime, ph.afterScatter)
-		res.DecomposeTime = maxf(res.DecomposeTime, ph.afterDecompose-ph.afterScatter)
-		res.GatherTime = maxf(res.GatherTime, ph.done-ph.afterDecompose)
-		res.GuardTime = maxf(res.GuardTime, ph.guard)
-		res.CheckpointTime = maxf(res.CheckpointTime, ph.ckpt)
-	}
-
-	// Assemble the pyramid from the collected stripes.
-	res.Pyramid = assembleStriped(collected, im.Rows, im.Cols, p, cfg)
+	res := reducePhases(sim)
+	// A stripe layout is a 1×p block grid.
+	res.Pyramid = assembleBlocks(collected, im.Rows, im.Cols, 1, p, cfg)
 	return res, nil
 }
 
 // stripeBands holds one rank's share of the decomposition results:
-// the final approximation stripe plus per-level LH/HL/HH stripes
-// (coarsest-first), all flattened row-major.
+// the final approximation stripe (or block) plus per-level LH/HL/HH
+// stripes (coarsest-first), all flattened row-major.
 type stripeBands struct {
 	approx  []float64
 	details [][3][]float64
 }
 
-// assembleStriped stitches per-rank stripes back into a full pyramid.
-func assembleStriped(collected []stripeBands, rows, cols, p int, cfg DistConfig) *wavelet.Pyramid {
-	pyr := &wavelet.Pyramid{Bank: cfg.Bank, Ext: filter.Periodic, Levels: make([]wavelet.DetailBands, cfg.Levels)}
-	ar := rows >> uint(cfg.Levels)
-	ac := cols >> uint(cfg.Levels)
-	pyr.Approx = image.New(ar, ac)
-	for rank := 0; rank < p; rank++ {
-		placeFlat(pyr.Approx, rank*ar/p, collected[rank].approx, ac)
-	}
-	for l := 0; l < cfg.Levels; l++ {
-		// details[l] is coarsest-first: level index l has size
-		// rows>>(levels-l-1) ... matching wavelet.Pyramid ordering.
-		br := rows >> uint(cfg.Levels-l)
-		bc := cols >> uint(cfg.Levels-l)
-		db := wavelet.DetailBands{LH: image.New(br, bc), HL: image.New(br, bc), HH: image.New(br, bc)}
-		for rank := 0; rank < p; rank++ {
-			placeFlat(db.LH, rank*br/p, collected[rank].details[l][0], bc)
-			placeFlat(db.HL, rank*br/p, collected[rank].details[l][1], bc)
-			placeFlat(db.HH, rank*br/p, collected[rank].details[l][2], bc)
+// gatherBands collects every rank's share of the pyramid on rank 0:
+// each other rank packs its bands into a single message (one
+// transaction per rank, as a tuned message-passing code would), and
+// rank 0 unpacks them into collected by source rank.
+func gatherBands(r *nx.Rank, mine stripeBands, collected []stripeBands, cost mesh.CostModel) {
+	if r.ID() != 0 {
+		n := len(mine.approx)
+		for _, d := range mine.details {
+			n += len(d[0]) + len(d[1]) + len(d[2])
 		}
-		pyr.Levels[l] = db
-	}
-	return pyr
-}
-
-// placeFlat copies a flattened stripe into dst starting at row r0.
-func placeFlat(dst *image.Image, r0 int, flat []float64, cols int) {
-	rows := len(flat) / cols
-	for r := 0; r < rows; r++ {
-		copy(dst.Row(r0+r), flat[r*cols:(r+1)*cols])
-	}
-}
-
-// rowFilterStripe applies both filter channels along every row of the
-// stripe with periodic extension (rows are globally complete, so local
-// periodic wrap is exact).
-func rowFilterStripe(stripe *image.Image, bank *filter.Bank) (l, h *image.Image) {
-	l = image.New(stripe.Rows, stripe.Cols/2)
-	h = image.New(stripe.Rows, stripe.Cols/2)
-	for r := 0; r < stripe.Rows; r++ {
-		src := stripe.Row(r)
-		wavelet.AnalyzeStep(src, bank.DecLo, filter.Periodic, l.Row(r))
-		wavelet.AnalyzeStep(src, bank.DecHi, filter.Periodic, h.Row(r))
-	}
-	return l, h
-}
-
-// colFilterStripe filters the columns of a stripe extended below by the
-// south guard, producing the low- and high-pass column outputs with half
-// the stripe's rows. Output row j of column c is Σ_k h[k]·X[2j+k][c],
-// where X is the stripe with guard appended — every index is in range by
-// the validateStriped constraints.
-func colFilterStripe(stripe, guard *image.Image, bank *filter.Bank) (lo, hi *image.Image) {
-	lo = image.New(stripe.Rows/2, stripe.Cols)
-	hi = image.New(stripe.Rows/2, stripe.Cols)
-	colFilterRange(lo, hi, stripe, guard, bank, 0, stripe.Rows/2)
-	return lo, hi
-}
-
-// colFilterRange computes output rows [j0,j1) of the column filtering into
-// lo/hi. guard may be nil when no output row in the range touches it
-// (interior rows only).
-func colFilterRange(lo, hi, stripe, guard *image.Image, bank *filter.Bank, j0, j1 int) {
-	rows, cols := stripe.Rows, stripe.Cols
-	at := func(r, c int) float64 {
-		if r < rows {
-			return stripe.At(r, c)
-		}
-		return guard.At(r-rows, c)
-	}
-	for j := j0; j < j1; j++ {
-		for c := 0; c < cols; c++ {
-			var accLo, accHi float64
-			for k, w := range bank.DecLo {
-				accLo += w * at(2*j+k, c)
+		packed := append(make([]float64, 0, n), mine.approx...)
+		for _, d := range mine.details {
+			for _, b := range d {
+				packed = append(packed, b...)
 			}
-			for k, w := range bank.DecHi {
-				accHi += w * at(2*j+k, c)
+		}
+		r.Compute(float64(len(packed))*8*cost.MemByteTime, budget.UniqueRedundancy)
+		r.SendFloats(0, tagResult, packed)
+		return
+	}
+	collected[0] = mine
+	for src := 1; src < r.Procs(); src++ {
+		packed, _ := r.RecvFloats(src, tagResult)
+		in := stripeBands{details: make([][3][]float64, len(mine.details))}
+		n := len(mine.approx)
+		in.approx, packed = packed[:n], packed[n:]
+		for l, d := range mine.details {
+			for b := range d {
+				n = len(d[b])
+				in.details[l][b], packed = packed[:n], packed[n:]
 			}
-			lo.Set(j, c, accLo)
-			hi.Set(j, c, accHi)
+		}
+		collected[src] = in
+	}
+}
+
+// reducePhases folds the per-rank phase clocks into the run's phase
+// times (each the maximum across ranks).
+func reducePhases(sim *nx.Result) *DistResult {
+	res := &DistResult{Sim: sim}
+	for _, v := range sim.Values {
+		ph := v.(rankPhases)
+		res.ScatterTime = max(res.ScatterTime, ph.afterScatter)
+		res.DecomposeTime = max(res.DecomposeTime, ph.afterDecompose-ph.afterScatter)
+		res.GatherTime = max(res.GatherTime, ph.done-ph.afterDecompose)
+		res.GuardTime = max(res.GuardTime, ph.guard)
+		res.CheckpointTime = max(res.CheckpointTime, ph.ckpt)
+	}
+	return res
+}
+
+// stripeCols column-filters output rows [j0, j1) of a stripe (or block)
+// through the kernel layer. Output row j reads src rows 2j .. 2j+f-1;
+// when any of them lies below the stripe, src carries the south guard's
+// first wavelet.Halo rows there, so every output row takes the kernel's
+// interior path and matches the full-level pass bit for bit.
+func stripeCols(lo, hi, src *image.Image, bank *filter.Bank, j0, j1 int) {
+	n := j1 - j0
+	kernel.AnalyzeColsRange(lo.Sub(j0, 0, n, lo.Cols), hi.Sub(j0, 0, n, hi.Cols),
+		src.Sub(2*j0, 0, src.Rows-2*j0, src.Cols), bank, filter.Periodic, 0, src.Cols)
+}
+
+// packRows flattens rows [r0, r1) of each image in turn into one slice.
+func packRows(r0, r1 int, ims ...*image.Image) []float64 {
+	n := 0
+	for _, im := range ims {
+		n += (r1 - r0) * im.Cols
+	}
+	out := make([]float64, 0, n)
+	for _, im := range ims {
+		for r := r0; r < r1; r++ {
+			out = append(out, im.Row(r)...)
 		}
 	}
+	return out
 }
 
 // flattenRows copies rows [r0,r1) of im into a flat slice.
@@ -396,19 +361,12 @@ func flattenRows(im *image.Image, r0, r1 int) []float64 {
 	return out
 }
 
-// imageFromFlat wraps a flat row-major slice as an image (copying).
+// imageFromFlat wraps a flat row-major slice as a rows×cols image,
+// sharing its storage: received messages are fresh copies that no rank
+// mutates.
 func imageFromFlat(rows, cols int, flat []float64) *image.Image {
 	if len(flat) != rows*cols {
 		panic(fmt.Sprintf("core: flat data %d != %dx%d", len(flat), rows, cols))
 	}
-	im := image.New(rows, cols)
-	copy(im.Pix, flat)
-	return im
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
+	return &image.Image{Rows: rows, Cols: cols, Stride: cols, Pix: flat}
 }

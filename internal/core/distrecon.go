@@ -1,6 +1,9 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+
 	"wavelethpc/internal/budget"
 	"wavelethpc/internal/filter"
 	"wavelethpc/internal/image"
@@ -21,9 +24,22 @@ import (
 // columns (with a north guard exchange) then rows, and rank 0 gathers the
 // reconstructed image. The result equals wavelet.Reconstruct to
 // floating-point tolerance.
+//
+// Synthesis uses the pyramid's own bank. cfg.Bank may be nil; when set it
+// must name the same bank. Only periodic pyramids are accepted: the
+// striped program wraps rank 0's north guard around the image.
 func DistributedReconstruct(p *wavelet.Pyramid, cfg DistConfig) (*image.Image, *nx.Result, error) {
+	bank := p.Bank
+	switch {
+	case bank == nil:
+		return nil, nil, errors.New("core: pyramid has no filter bank")
+	case cfg.Bank != nil && cfg.Bank.Name != bank.Name:
+		return nil, nil, fmt.Errorf("core: DistConfig.Bank %q does not match the pyramid's bank %q", cfg.Bank.Name, bank.Name)
+	case p.Ext != filter.Periodic:
+		return nil, nil, fmt.Errorf("core: distributed reconstruction needs a periodic pyramid, got %s extension", p.Ext)
+	}
 	procs := cfg.Procs
-	f := cfg.Bank.RecLen()
+	f := bank.RecLen()
 	rows := p.Approx.Rows << uint(p.Depth())
 	cols := p.Approx.Cols << uint(p.Depth())
 	if err := validateStriped(rows, cols, procs, f, p.Depth()); err != nil {
@@ -66,8 +82,8 @@ func DistributedReconstruct(p *wavelet.Pyramid, cfg DistConfig) (*image.Image, *
 			next := (id + 1) % procs
 			// Ship the bottom g rows of all four coefficient stripes to
 			// the next rank; exchange symmetrically ("around").
-			bot := packFour(cur, d.LH, d.HL, d.HH, cur.Rows-g, cur.Rows)
-			top := packFour(cur, d.LH, d.HL, d.HH, 0, g)
+			bot := packRows(cur.Rows-g, cur.Rows, cur, d.LH, d.HL, d.HH)
+			top := packRows(0, g, cur, d.LH, d.HL, d.HH)
 			r.Compute(float64(len(bot)+len(top))*8*cost.MemByteTime, budget.UniqueRedundancy)
 			r.SendFloats(next, tagGuardDown, bot)
 			r.SendFloats(prev, tagGuardUp, top)
@@ -77,12 +93,12 @@ func DistributedReconstruct(p *wavelet.Pyramid, cfg DistConfig) (*image.Image, *
 
 			// Column synthesis with the north guard, then local row
 			// synthesis (rows are complete after the column pass).
-			lImg := colSynthesizeStripe(cur, d.LH, nLL, nLH, cfg.Bank)
-			hImg := colSynthesizeStripe(d.HL, d.HH, nHL, nHH, cfg.Bank)
+			lImg := colSynthesizeStripe(cur, d.LH, nLL, nLH, bank)
+			hImg := colSynthesizeStripe(d.HL, d.HH, nHL, nHH, bank)
 			outputs := 2 * lImg.Rows * lImg.Cols
 			r.Compute(float64(outputs)*(float64(f)*cost.MACTime+cost.CoefTime), budget.Useful)
 
-			merged := wavelet.SynthesizeRows(lImg, hImg, cfg.Bank, filter.Periodic)
+			merged := wavelet.SynthesizeRows(lImg, hImg, bank, filter.Periodic)
 			outputs = merged.Rows * merged.Cols
 			r.Compute(float64(outputs)*(float64(f)*cost.MACTime+cost.CoefTime), budget.Useful)
 			cur = merged
@@ -94,10 +110,10 @@ func DistributedReconstruct(p *wavelet.Pyramid, cfg DistConfig) (*image.Image, *
 			r.SendFloats(0, tagResult, flattenRows(cur, 0, cur.Rows))
 		} else {
 			lr := rows / procs
-			placeFlat(out, 0, flattenRows(cur, 0, cur.Rows), cols)
+			placeFlatAt(out, 0, 0, flattenRows(cur, 0, cur.Rows), cols)
 			for src := 1; src < procs; src++ {
 				flat, _ := r.RecvFloats(src, tagResult)
-				placeFlat(out, src*lr, flat, cols)
+				placeFlatAt(out, src*lr, 0, flat, cols)
 			}
 		}
 	}
@@ -144,16 +160,7 @@ func unpackPyramidStripe(flat []float64, p *wavelet.Pyramid, rank, procs int) (*
 	return approx, details
 }
 
-// packFour flattens rows [r0,r1) of four equal-shape stripes.
-func packFour(a, b, c, d *image.Image, r0, r1 int) []float64 {
-	out := flattenRows(a, r0, r1)
-	out = append(out, flattenRows(b, r0, r1)...)
-	out = append(out, flattenRows(c, r0, r1)...)
-	out = append(out, flattenRows(d, r0, r1)...)
-	return out
-}
-
-// unpackFour inverts packFour for g guard rows of the given width.
+// unpackFour inverts packRows over four stripes for g guard rows of the given width.
 func unpackFour(flat []float64, g, cols int) (a, b, c, d *image.Image) {
 	n := g * cols
 	a = imageFromFlat(g, cols, flat[0*n:1*n])

@@ -88,7 +88,7 @@ func TestConcurrentMixedTierStress(t *testing.T) {
 					stressPyramidsWithinEps(t, "lift-seq", refs[g], p, eps)
 				case 1:
 					// Lifting, parallel (pooled arena, worker pool).
-					p, err := ParallelDecomposeTol(images[g], bank, ext, levels, 3, eps)
+					p, err := ParallelDecompose(images[g], bank, ext, levels, 3, eps)
 					if err != nil {
 						t.Error(err)
 						return
@@ -135,14 +135,14 @@ func TestParallelLiftingDeterministicInWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 3, 7} {
-		p, err := ParallelDecomposeTol(im, bank, filter.Periodic, 4, workers, sch.Eps)
+		p, err := ParallelDecompose(im, bank, filter.Periodic, 4, workers, sch.Eps)
 		if err != nil {
 			t.Fatal(err)
 		}
 		stressPyramidsBitIdentical(t, "workers", seq, p)
 	}
 	// Batch rides the same tier.
-	res, err := DecomposeBatchTolCtx(context.Background(), []*image.Image{im, im}, bank, filter.Periodic, 4, 2, sch.Eps)
+	res, err := DecomposeBatch(context.Background(), []*image.Image{im, im}, bank, filter.Periodic, 4, 2, sch.Eps)
 	if err != nil {
 		t.Fatal(err)
 	}

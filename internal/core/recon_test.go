@@ -67,6 +67,34 @@ func TestDistributedReconstructValidation(t *testing.T) {
 	if _, _, err := DistributedReconstruct(pyr, distCfg(16, filter.Haar(), 4)); err == nil {
 		t.Error("invalid rank count accepted")
 	}
+	if _, _, err := DistributedReconstruct(pyr, distCfg(4, filter.Daubechies8(), 4)); err == nil {
+		t.Error("haar pyramid reconstructed with a db8 cfg.Bank")
+	}
+	sym, _ := wavelet.Decompose(im, filter.Haar(), filter.Symmetric, 4)
+	if _, _, err := DistributedReconstruct(sym, distCfg(4, filter.Haar(), 4)); err == nil {
+		t.Error("symmetric-extension pyramid accepted")
+	}
+	pyr.Bank = nil
+	if _, _, err := DistributedReconstruct(pyr, distCfg(4, nil, 4)); err == nil {
+		t.Error("pyramid without a bank accepted")
+	}
+}
+
+// TestDistributedReconstructUsesPyramidBank checks synthesis runs with
+// the pyramid's own bank, so a nil cfg.Bank inherits it.
+func TestDistributedReconstructUsesPyramidBank(t *testing.T) {
+	im := image.Landsat(128, 128, 3)
+	pyr, err := wavelet.Decompose(im, filter.Daubechies8(), filter.Periodic, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, _, err := DistributedReconstruct(pyr, distCfg(4, nil, 2))
+	if err != nil {
+		t.Fatalf("nil cfg.Bank: %v", err)
+	}
+	if !image.Equal(im, back, 1e-8) {
+		t.Error("nil cfg.Bank: reconstruction mismatch")
+	}
 }
 
 func TestDistributedReconstructNaivePlacement(t *testing.T) {

@@ -23,27 +23,21 @@ import (
 )
 
 // ParallelDecompose performs a levels-deep Mallat decomposition of im
-// using the given number of worker goroutines (0 means GOMAXPROCS). The
-// result is bit-identical to wavelet.Decompose regardless of worker
-// count: a persistent pool (one goroutine set for the whole transform)
-// hands out row ranges for the row pass and column-panel ranges for the
-// cache-blocked column pass, and every range is filtered by the same
-// internal/wavelet/kernel code the sequential fast path uses. Scratch
-// comes from the shared kernel arena pool, so only the retained pyramid
-// bands are allocated.
-func ParallelDecompose(im *image.Image, bank *filter.Bank, ext filter.Extension, levels, workers int) (*wavelet.Pyramid, error) {
-	return ParallelDecomposeTol(im, bank, ext, levels, workers, 0)
-}
-
-// ParallelDecomposeTol is ParallelDecompose with a drift tolerance: when
-// (bank, ext, tol) admit the lifting tier (wavelet.LiftingFor), each
-// level runs the fused lifting sweeps — one scatter row pass, then the
-// in-place column pass over disjoint panels — on the same worker pool.
-// Both tiers are deterministic in the worker count: every range is
-// column- or row-independent, so the parallel output is bit-identical to
-// the corresponding sequential tier (wavelet.DecomposeTol), and with
-// tol = 0 to wavelet.Decompose.
-func ParallelDecomposeTol(im *image.Image, bank *filter.Bank, ext filter.Extension, levels, workers int, tol float64) (*wavelet.Pyramid, error) {
+// using the given number of worker goroutines (0 means GOMAXPROCS). A
+// persistent pool (one goroutine set for the whole transform) hands out
+// row ranges for the row pass and column-panel ranges for the column
+// pass, and every range is filtered by the same internal/wavelet/kernel
+// code the sequential fast path uses. Scratch comes from the shared
+// kernel arena pool, so only the retained pyramid bands are allocated.
+//
+// tol is the drift tolerance: when (bank, ext, tol) admit the lifting
+// tier (wavelet.LiftingFor), each level runs the fused lifting sweeps —
+// one scatter row pass, then the in-place column pass over disjoint
+// panels. Both tiers are deterministic in the worker count: every range
+// is column- or row-independent, so the output is bit-identical to the
+// corresponding sequential tier (wavelet.DecomposeTol), and with tol = 0
+// to wavelet.Decompose.
+func ParallelDecompose(im *image.Image, bank *filter.Bank, ext filter.Extension, levels, workers int, tol float64) (*wavelet.Pyramid, error) {
 	if err := wavelet.CheckDecomposable(im.Rows, im.Cols, levels); err != nil {
 		return nil, err
 	}

@@ -143,13 +143,6 @@ func runTileFanout(ctx context.Context, im *image.Image, want *wavelet.Pyramid, 
 	}
 	cost := machine.Cost
 	f := bank.DecLen()
-	// Same halo rule as the gateway coordinator: causal support f-2,
-	// rounded up to even so stripe heights stay decomposable.
-	halo := f - 2
-	if halo < 0 {
-		halo = 0
-	}
-	halo = (halo + 1) &^ 1
 
 	stitched := &wavelet.Pyramid{Bank: bank, Ext: filter.Periodic, Levels: make([]wavelet.DetailBands, levels)}
 
@@ -158,15 +151,16 @@ func runTileFanout(ctx context.Context, im *image.Image, want *wavelet.Pyramid, 
 		backends := r.Procs() - 1
 		if id != 0 {
 			// --- Backend: serve one stripe per level -------------------
+			// Both sides derive the same plan, so no handshake is needed.
 			for l := 0; l < levels; l++ {
-				rows := im.Rows >> uint(l)
-				shares := tileShares(rows/2, backends)
-				if id > len(shares) {
+				plan := wavelet.PlanStripes(im.Rows>>uint(l), backends, bank)
+				if id > len(plan) {
 					continue // more backends than stripes at this depth
 				}
+				st := plan[id-1]
 				data, _ := r.RecvFloats(0, tagTileStripe)
-				h := 2*shares[id-1] + halo
-				sub := imageFromFloats(h, im.Cols>>uint(l), data)
+				cols := im.Cols >> uint(l)
+				sub := &image.Image{Rows: st.Rows, Cols: cols, Stride: cols, Pix: data[:st.Rows*cols]}
 				sp, err := wavelet.Decompose(sub, bank, filter.Periodic, 1)
 				if err != nil {
 					panic(&wavelet.UsageError{Op: "tile/scale", Detail: err.Error()})
@@ -175,8 +169,7 @@ func runTileFanout(ctx context.Context, im *image.Image, want *wavelet.Pyramid, 
 				// (row pass + column pass), each f MACs plus fixed
 				// per-coefficient overhead — the calibrated kernel cost.
 				r.Compute(float64(2*sub.Rows*sub.Cols)*(float64(f)*cost.MACTime+cost.CoefTime), budget.Useful)
-				keep := shares[id-1]
-				packed := packBands(sp, keep)
+				packed := packBands(sp, st.Share)
 				r.Compute(float64(len(packed))*8*cost.MemByteTime, budget.UniqueRedundancy)
 				r.SendFloats(0, tagTileBands, packed)
 			}
@@ -189,17 +182,14 @@ func runTileFanout(ctx context.Context, im *image.Image, want *wavelet.Pyramid, 
 		cur := im
 		for l := 0; l < levels; l++ {
 			half := cur.Rows / 2
-			shares := tileShares(half, backends)
-			r0 := 0
+			plan := wavelet.PlanStripes(cur.Rows, backends, bank)
 			t := r.Clock()
-			for i, share := range shares {
-				h := 2*share + halo
-				stripe := extractWrappedRows(cur, r0, h)
+			for i, st := range plan {
+				stripe := wavelet.WrapRows(cur, st.In, st.Rows)
 				// Slicing stripes out of the level is parallelization
 				// redundancy the single-node transform never pays.
-				r.Compute(float64(h*cur.Cols)*8*cost.MemByteTime, budget.UniqueRedundancy)
+				r.Compute(float64(st.Rows*cur.Cols)*8*cost.MemByteTime, budget.UniqueRedundancy)
 				r.SendFloats(i+1, tagTileStripe, stripe.Pix)
-				r0 += 2 * share
 			}
 			ll := image.New(half, cur.Cols/2)
 			db := wavelet.DetailBands{
@@ -207,11 +197,9 @@ func runTileFanout(ctx context.Context, im *image.Image, want *wavelet.Pyramid, 
 				HL: image.New(half, cur.Cols/2),
 				HH: image.New(half, cur.Cols/2),
 			}
-			r0 = 0
-			for i, share := range shares {
+			for i, st := range plan {
 				packed, _ := r.RecvFloats(i+1, tagTileBands)
-				unpackBands(ll, db, r0, share, packed)
-				r0 += share
+				unpackBands(ll, db, st.Out, st.Share, packed)
 			}
 			hub += r.Clock() - t
 			stitched.Levels[levels-1-l] = db
@@ -229,37 +217,6 @@ func runTileFanout(ctx context.Context, im *image.Image, want *wavelet.Pyramid, 
 		return nil, fmt.Errorf("experiments: tile/scale P=%d %s: %w", p, pl.Name(), err)
 	}
 	return &tileFanoutResult{sim: sim, hubComm: sim.Values[0].(float64)}, nil
-}
-
-// tileShares distributes half output rows over at most n stripes —
-// the coordinator's stripeShares rule, duplicated on the backends so
-// both sides derive identical geometry without a handshake.
-func tileShares(half, n int) []int {
-	if n > half {
-		n = half
-	}
-	if n < 1 {
-		n = 1
-	}
-	base, rem := half/n, half%n
-	shares := make([]int, n)
-	for i := range shares {
-		shares[i] = base
-		if i < rem {
-			shares[i]++
-		}
-	}
-	return shares
-}
-
-// extractWrappedRows copies h full-width rows starting at r0, wrapping
-// modulo the level height — periodic extension, exactly as the gateway.
-func extractWrappedRows(im *image.Image, r0, h int) *image.Image {
-	out := image.New(h, im.Cols)
-	for m := 0; m < h; m++ {
-		copy(out.Row(m), im.Row((r0+m)%im.Rows))
-	}
-	return out
 }
 
 // packBands flattens the kept rows of a one-level pyramid LL|LH|HL|HH.
@@ -283,16 +240,6 @@ func unpackBands(ll *image.Image, db wavelet.DetailBands, r0, share int, packed 
 			packed = packed[cols:]
 		}
 	}
-}
-
-// imageFromFloats wraps a flat row-major stripe as an image (copying).
-func imageFromFloats(rows, cols int, flat []float64) *image.Image {
-	if len(flat) != rows*cols {
-		panic(&wavelet.UsageError{Op: "tile/scale", Detail: fmt.Sprintf("stripe %d floats != %dx%d", len(flat), rows, cols)})
-	}
-	out := image.New(rows, cols)
-	copy(out.Pix, flat)
-	return out
 }
 
 // verifyStitched checks the simulated fan-out reproduced the sequential

@@ -16,20 +16,15 @@ import (
 
 // Distributed tile decomposition: the gateway-level realization of the
 // paper's Paragon stripe/halo scheme. An oversized image is split into
-// row stripes, each stripe (plus a filter-length halo) is shipped to a
+// row stripes by the stripe planner (wavelet.PlanStripes), each stripe
+// (plus its halo, wrapped modulo the level height) is shipped to a
 // backend as a one-level decompose in the exact float64 raster form, and
 // the returned sub-pyramids are stitched into the global level — then
 // the stitched LL recurses for the next level. The result is
 // Float64bits-identical to the single-node transform because
-//
-//   - horizontal filtering touches each row independently and every
-//     stripe carries full-width rows, and
-//   - the vertical filter is causal (output row j reads input rows
-//     2j .. 2j+f-1), so output rows [r0/2, r0/2+H/2) need exactly input
-//     rows [r0, r0+H+f-2); the halo supplies them, wrapping modulo the
-//     level height so stripe row m IS global row (r0+m) mod R — the
-//     global periodic extension, reproduced exactly even when the halo
-//     wraps all the way around a small level.
+// horizontal filtering touches each row independently, every stripe
+// carries full-width rows, and the planner's halo supplies exactly the
+// rows the causal vertical filter reads below the stripe.
 //
 // Sub-requests pin tol=0 (the bit-identical convolution tier) and assume
 // backends run the default periodic extension; RouteKey.Shard spreads
@@ -123,29 +118,20 @@ type stitchedLevel struct {
 // tileOneLevel splits cur into row stripes with halos, fans them out as
 // one-level pyramid sub-requests, and stitches the kept output rows.
 func (g *Gateway) tileOneLevel(ctx context.Context, bankName string, bank *filter.Bank, cur *image.Image, stripes int) (*stitchedLevel, int, error) {
-	rows, cols := cur.Rows, cur.Cols
-	half := rows / 2
-	shares := stripeShares(half, stripes)
-	// Causal analysis support: output row j reads input rows 2j..2j+f-1,
-	// so a stripe of H input rows needs f-2 extra rows below, rounded up
-	// to even so the sub-image height stays decomposable.
-	halo := bank.DecLen() - 2
-	if halo < 0 {
-		halo = 0
-	}
-	halo = (halo + 1) &^ 1
+	// cur is not read after the fan-out, so the collector may free it
+	// while the backends work.
+	half, cols := cur.Rows/2, cur.Cols
+	plan := wavelet.PlanStripes(cur.Rows, stripes, bank)
 
 	type stripeOut struct {
 		res      *Result
 		err      error
 		attempts int
 	}
-	outs := make([]stripeOut, len(shares))
+	outs := make([]stripeOut, len(plan))
 	var wg sync.WaitGroup
-	r0 := 0
-	for i, share := range shares {
-		h := 2 * share
-		sub := extractStripe(cur, r0, h+halo)
+	for i, st := range plan {
+		sub := wavelet.WrapRows(cur, st.In, st.Rows)
 		q := url.Values{}
 		q.Set("bank", bankName)
 		q.Set("levels", "1")
@@ -176,7 +162,6 @@ func (g *Gateway) tileOneLevel(ctx context.Context, bankName string, bank *filte
 			}
 		}(i)
 		g.metrics.TileStripes.Add(1)
-		r0 += h
 	}
 	wg.Wait()
 
@@ -187,8 +172,7 @@ func (g *Gateway) tileOneLevel(ctx context.Context, bankName string, bank *filte
 		hh: image.New(half, cols/2),
 	}
 	attempts := 0
-	r0 = 0
-	for i, share := range shares {
+	for i, st := range plan {
 		o := outs[i]
 		if o.err != nil {
 			return nil, 0, o.err
@@ -202,50 +186,18 @@ func (g *Gateway) tileOneLevel(ctx context.Context, bankName string, bank *filte
 		if err != nil {
 			return nil, 0, fmt.Errorf("gateway: tiling: stripe %d from %s: %w", i, o.res.Backend, err)
 		}
-		if sp.Depth() != 1 || sp.Approx.Rows < share || sp.Approx.Cols != cols/2 {
+		if sp.Depth() != 1 || sp.Approx.Rows < st.Share || sp.Approx.Cols != cols/2 {
 			return nil, 0, fmt.Errorf("gateway: tiling: stripe %d from %s: unexpected %dx%d depth-%d pyramid",
 				i, o.res.Backend, sp.Approx.Rows, sp.Approx.Cols, sp.Depth())
 		}
-		// Keep output rows [0, share): the halo rows beyond them belong
-		// to the next stripe (or wrapped around) and are discarded.
-		placeRows(level.ll, sp.Approx, r0, share)
-		placeRows(level.lh, sp.Levels[0].LH, r0, share)
-		placeRows(level.hl, sp.Levels[0].HL, r0, share)
-		placeRows(level.hh, sp.Levels[0].HH, r0, share)
-		r0 += share
+		// Keep the stripe's own output rows: the halo rows beyond them
+		// belong to the next stripe (or wrapped around) and are discarded.
+		placeRows(level.ll, sp.Approx, st.Out, st.Share)
+		placeRows(level.lh, sp.Levels[0].LH, st.Out, st.Share)
+		placeRows(level.hl, sp.Levels[0].HL, st.Out, st.Share)
+		placeRows(level.hh, sp.Levels[0].HH, st.Out, st.Share)
 	}
 	return level, attempts, nil
-}
-
-// stripeShares distributes half output rows over at most stripes
-// stripes, each getting at least one (stripes is capped at half).
-func stripeShares(half, stripes int) []int {
-	if stripes > half {
-		stripes = half
-	}
-	if stripes < 1 {
-		stripes = 1
-	}
-	base, rem := half/stripes, half%stripes
-	shares := make([]int, stripes)
-	for i := range shares {
-		shares[i] = base
-		if i < rem {
-			shares[i]++
-		}
-	}
-	return shares
-}
-
-// extractStripe copies h full-width rows starting at r0, wrapping row
-// indices modulo the level height — the wrap IS the periodic extension
-// the single-node transform applies at the image boundary.
-func extractStripe(im *image.Image, r0, h int) *image.Image {
-	out := image.New(h, im.Cols)
-	for m := 0; m < h; m++ {
-		copy(out.Row(m), im.Row((r0+m)%im.Rows))
-	}
-	return out
 }
 
 // placeRows copies src rows [0, n) into dst rows [r0, r0+n).

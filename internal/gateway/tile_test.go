@@ -238,7 +238,8 @@ func TestTiledMatchesSingleBackendWire(t *testing.T) {
 	}
 }
 
-// TestStripeShares pins the stripe split arithmetic.
+// TestStripeShares pins the share split the tiling coordinator plans
+// through: near-equal shares, larger ones first, never an empty stripe.
 func TestStripeShares(t *testing.T) {
 	cases := []struct {
 		half, stripes int
@@ -251,35 +252,34 @@ func TestStripeShares(t *testing.T) {
 		{7, 2, []int{4, 3}},
 	}
 	for _, tc := range cases {
-		got := stripeShares(tc.half, tc.stripes)
-		if len(got) != len(tc.want) {
-			t.Fatalf("stripeShares(%d, %d) = %v, want %v", tc.half, tc.stripes, got, tc.want)
+		plan := wavelet.PlanStripes(2*tc.half, tc.stripes, filter.Haar())
+		if len(plan) != len(tc.want) {
+			t.Fatalf("PlanStripes(%d, %d) has %d stripes, want %v", 2*tc.half, tc.stripes, len(plan), tc.want)
 		}
 		sum := 0
-		for i := range got {
-			if got[i] != tc.want[i] {
-				t.Fatalf("stripeShares(%d, %d) = %v, want %v", tc.half, tc.stripes, got, tc.want)
+		for i, st := range plan {
+			if st.Share != tc.want[i] {
+				t.Fatalf("PlanStripes(%d, %d) share %d = %d, want %v", 2*tc.half, tc.stripes, i, st.Share, tc.want)
 			}
-			sum += got[i]
+			sum += st.Share
 		}
 		if sum != tc.half {
-			t.Fatalf("stripeShares(%d, %d) sums to %d", tc.half, tc.stripes, sum)
+			t.Fatalf("PlanStripes(%d, %d) shares sum to %d", 2*tc.half, tc.stripes, sum)
 		}
 	}
 }
 
-// TestExtractStripeWraps checks halo rows wrap modulo the level height —
-// the periodic extension reproduced at stripe granularity.
+// TestExtractStripeWraps checks that a stripe's input span wraps
+// periodically past the bottom of the level.
 func TestExtractStripeWraps(t *testing.T) {
 	im := image.New(4, 2)
 	for r := 0; r < 4; r++ {
 		im.Set(r, 0, float64(r))
 		im.Set(r, 1, float64(r))
 	}
-	s := extractStripe(im, 2, 6) // rows 2,3,0,1,2,3
-	wantRows := []float64{2, 3, 0, 1, 2, 3}
-	for m, want := range wantRows {
-		if s.At(m, 0) != want {
+	s := wavelet.WrapRows(im, 2, 6) // rows 2,3,0,1,2,3
+	for m, want := range []float64{2, 3, 0, 1, 2, 3} {
+		if s.At(m, 0) != want || s.At(m, 1) != want {
 			t.Fatalf("stripe row %d = %g, want %g", m, s.At(m, 0), want)
 		}
 	}

@@ -94,27 +94,14 @@ func MachineNames() []string { return []string{"paragon", "t3d", "dec5000"} }
 // MachineByName returns the preset machine with the given name, or an
 // error naming the known presets.
 func MachineByName(name string) (*Machine, error) {
-	if m := ByName(name); m != nil {
-		return m, nil
+	switch name {
+	case "paragon":
+		return Paragon(), nil
+	case "t3d":
+		return T3D(), nil
+	case "dec5000":
+		return DEC5000(), nil
 	}
 	return nil, fmt.Errorf("mesh: unknown machine %q (known presets: %s)",
 		name, strings.Join(MachineNames(), ", "))
-}
-
-// ByName returns the preset machine with the given name ("paragon",
-// "t3d", or "dec5000"), or nil when unknown.
-//
-// Deprecated: use MachineByName, which reports unknown names with the
-// list of presets instead of returning nil.
-func ByName(name string) *Machine {
-	switch name {
-	case "paragon":
-		return Paragon()
-	case "t3d":
-		return T3D()
-	case "dec5000":
-		return DEC5000()
-	default:
-		return nil
-	}
 }

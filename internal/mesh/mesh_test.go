@@ -254,14 +254,6 @@ func TestMachinePresets(t *testing.T) {
 	if m := DEC5000(); m.Nodes() != 1 {
 		t.Errorf("DEC5000 preset wrong: %+v", m)
 	}
-	for _, name := range []string{"paragon", "t3d", "dec5000"} {
-		if ByName(name) == nil {
-			t.Errorf("ByName(%q) = nil", name)
-		}
-	}
-	if ByName("cm5") != nil {
-		t.Error("ByName(cm5) should be nil")
-	}
 }
 
 func TestValidatePlacementCatchesCollision(t *testing.T) {

@@ -6,9 +6,15 @@ import (
 )
 
 // AnalyzeColsRange column-filters the [c0, c1) column panel of src by
-// both channels of bank and decimates the rows by two into lo and hi
-// (each src.Rows/2 × src.Cols). It is the fast-path equivalent of
-// wavelet.AnalyzeCols restricted to a column range.
+// both channels of bank and decimates the rows by two into lo and hi.
+// It is the fast-path equivalent of wavelet.AnalyzeCols restricted to a
+// column range.
+//
+// The output height is lo.Rows (normally src.Rows/2). A taller src
+// holding a stripe with its south halo in the rows below it yields the
+// stripe's own output rows, every one on the interior path, so they are
+// bit-identical to the same rows of the full-level pass (see
+// wavelet.PlanStripes).
 //
 // Instead of gathering one stride-N column at a time (one cache line
 // touched per sample), the pass walks PanelWidth-column panels: for each
@@ -20,7 +26,7 @@ import (
 // taps is exactly the reference order, so outputs are bit-identical.
 func AnalyzeColsRange(lo, hi, src *image.Image, bank *filter.Bank, ext filter.Extension, c0, c1 int) {
 	rows := src.Rows
-	half := rows / 2
+	half := lo.Rows
 	fLo, fHi := bank.DecLo, bank.DecHi
 	if len(fLo) != len(fHi) {
 		// Different channel lengths (biorthogonal banks): the fused loop
@@ -79,7 +85,7 @@ func AnalyzeColsRange(lo, hi, src *image.Image, bank *filter.Bank, ext filter.Ex
 // channel's own filter length, preserving the bit-identity contract.
 func colsChannelRange(dst, src *image.Image, h []float64, ext filter.Extension, c0, c1 int) {
 	rows := src.Rows
-	half := rows / 2
+	half := dst.Rows
 	f := len(h)
 	for p0 := c0; p0 < c1; p0 += PanelWidth {
 		p1 := p0 + PanelWidth

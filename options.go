@@ -163,8 +163,7 @@ func resolveOptions(bank *FilterBank, opts []Option) (decomposeConfig, error) {
 // With no options it performs a sequential one-level periodic
 // decomposition. Results are bit-identical across every option
 // combination that selects the same mathematical transform (worker
-// counts included), and identical to the deprecated Decompose,
-// ParallelDecompose, and DecomposeBatch wrappers that delegate here.
+// counts included).
 // Invalid arguments and options return errors wrapping
 // *wavelet.UsageError; no panic crosses this boundary.
 func DecomposeWith(im *Image, bank *FilterBank, opts ...Option) (*Pyramid, error) {
@@ -194,7 +193,7 @@ func DecomposeWithContext(ctx context.Context, im *Image, bank *FilterBank, opts
 	}
 	return guardDecompose(func() (*Pyramid, error) {
 		if cfg.parallel {
-			return core.ParallelDecomposeTol(im, cfg.bank, cfg.ext, cfg.levels, cfg.workers, cfg.tol)
+			return core.ParallelDecompose(im, cfg.bank, cfg.ext, cfg.levels, cfg.workers, cfg.tol)
 		}
 		return wavelet.DecomposeTol(im, cfg.bank, cfg.ext, cfg.levels, cfg.tol)
 	})
@@ -233,7 +232,7 @@ func DecomposeAllWithContext(ctx context.Context, images []*Image, bank *FilterB
 	}
 	var pyrs []*Pyramid
 	_, err = guardDecompose(func() (*Pyramid, error) {
-		res, err := core.DecomposeBatchTolCtx(ctx, images, cfg.bank, cfg.ext, cfg.levels, cfg.workers, cfg.tol)
+		res, err := core.DecomposeBatch(ctx, images, cfg.bank, cfg.ext, cfg.levels, cfg.workers, cfg.tol)
 		if err != nil {
 			return nil, err
 		}

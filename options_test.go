@@ -11,10 +11,9 @@ import (
 )
 
 // The options-facade equivalence suite: DecomposeWith must be
-// byte-identical (math.Float64bits per pixel) to the deprecated entry
-// points it replaces AND to the reference transform, for every bank and
-// a spread of shapes. This is the acceptance gate for the facade
-// redesign — delegation is proven, not assumed.
+// byte-identical (math.Float64bits per pixel) to the reference
+// transform, and its parallel and batch forms to the sequential one, for
+// every bank and a spread of shapes.
 
 var facadeBanks = []struct {
 	name string
@@ -60,15 +59,10 @@ func TestDecomposeWithMatchesDeprecatedAndReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				oldP, err := Decompose(im, b.bank, sh.levels)
-				if err != nil {
-					t.Fatal(err)
-				}
 				newP, err := DecomposeWith(im, b.bank, WithLevels(sh.levels))
 				if err != nil {
 					t.Fatal(err)
 				}
-				requireSamePyramidBits(t, "deprecated vs options", oldP, newP)
 				requireSamePyramidBits(t, "options vs reference", ref, newP)
 			})
 		}
@@ -83,16 +77,11 @@ func TestParallelDecomposeMatchesWithWorkers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			oldP, err := ParallelDecompose(im, b.bank, 3, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
 			newP, err := DecomposeWith(im, b.bank, WithLevels(3), WithWorkers(workers))
 			if err != nil {
 				t.Fatal(err)
 			}
 			label := fmt.Sprintf("%s workers=%d", b.name, workers)
-			requireSamePyramidBits(t, label+" deprecated vs options", oldP, newP)
 			requireSamePyramidBits(t, label+" parallel vs sequential", seq, newP)
 		}
 	}
@@ -101,10 +90,6 @@ func TestParallelDecomposeMatchesWithWorkers(t *testing.T) {
 func TestDecomposeAllWithMatchesBatch(t *testing.T) {
 	images := LandsatBands(32, 32, 5, 11)
 	bank := Daubechies8()
-	oldPs, err := DecomposeBatch(images, bank, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	newPs, err := DecomposeAllWith(images, bank, WithLevels(2), WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
@@ -113,15 +98,14 @@ func TestDecomposeAllWithMatchesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(oldPs) != len(images) || len(newPs) != len(images) {
-		t.Fatalf("lengths: old %d, new %d, want %d", len(oldPs), len(newPs), len(images))
+	if len(newPs) != len(images) || len(defaulted) != len(images) {
+		t.Fatalf("lengths: %d and %d, want %d", len(newPs), len(defaulted), len(images))
 	}
 	for i := range images {
 		single, err := DecomposeWith(images[i], bank, WithLevels(2))
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSamePyramidBits(t, fmt.Sprintf("image %d deprecated vs options", i), oldPs[i], newPs[i])
 		requireSamePyramidBits(t, fmt.Sprintf("image %d batch vs single", i), single, newPs[i])
 		requireSamePyramidBits(t, fmt.Sprintf("image %d default workers", i), single, defaulted[i])
 	}

@@ -12,7 +12,7 @@
 // without importing internal paths.
 //
 //	im := wavelethpc.Landsat(512, 512, 42)
-//	pyr, err := wavelethpc.Decompose(im, wavelethpc.Daubechies8(), 3)
+//	pyr, err := wavelethpc.DecomposeWith(im, wavelethpc.Daubechies8(), wavelethpc.WithLevels(3))
 //	...
 //	back := wavelethpc.Reconstruct(pyr)
 package wavelethpc
@@ -89,22 +89,13 @@ func WHT1D(x []float64) ([]float64, error) { return wavelet.WHT1D(x) }
 // of two; the transform is its own inverse.
 func WHT2D(im *Image) (*Image, error) { return wavelet.WHT2D(im) }
 
-// Decompose runs the sequential Mallat multi-resolution decomposition
-// with periodic extension.
-//
-// Deprecated: use DecomposeWith(im, bank, WithLevels(levels)). This
-// wrapper delegates to it and stays byte-identical.
-func Decompose(im *Image, bank *FilterBank, levels int) (*Pyramid, error) {
-	return DecomposeWith(im, bank, WithLevels(levels))
-}
-
-// Reconstruct inverts Decompose.
+// Reconstruct inverts DecomposeWith.
 func Reconstruct(p *Pyramid) *Image { return wavelet.Reconstruct(p) }
 
 // Decomposer is the steady-state repeated-transform API: it owns its
 // scratch arena and reuses the output pyramid across calls, so decoding
 // an image stream at a fixed shape performs zero allocations per frame.
-// Results are bit-identical to Decompose. Not safe for concurrent use;
+// Results are bit-identical to DecomposeWith. Not safe for concurrent use;
 // each returned pyramid is invalidated by the next call.
 type Decomposer = wavelet.Decomposer
 
@@ -114,18 +105,8 @@ func NewDecomposer(bank *FilterBank, levels int) *Decomposer {
 	return wavelet.NewDecomposer(bank, filter.Periodic, levels)
 }
 
-// ParallelDecompose is the shared-memory parallel decomposition; workers
-// = 0 uses GOMAXPROCS. Results are identical to Decompose.
-//
-// Deprecated: use DecomposeWith(im, bank, WithLevels(levels),
-// WithWorkers(workers)). This wrapper delegates to it and stays
-// byte-identical.
-func ParallelDecompose(im *Image, bank *FilterBank, levels, workers int) (*Pyramid, error) {
-	return DecomposeWith(im, bank, WithLevels(levels), WithWorkers(workers))
-}
-
-// ParallelReconstruct inverts ParallelDecompose with the given worker
-// count (0 = GOMAXPROCS).
+// ParallelReconstruct inverts DecomposeWith on the given number of
+// workers (0 = GOMAXPROCS).
 func ParallelReconstruct(p *Pyramid, workers int) *Image {
 	return core.ParallelReconstruct(p, workers)
 }
@@ -170,7 +151,8 @@ func MasParMP2() *simd.Machine { return simd.MP2() }
 func Table1MasPar() [3]float64 { return simd.Table1MasPar() }
 
 // DistributedReconstruct inverts DistributedDecompose on the simulated
-// machine (the paper's Figure 2 reverse process).
+// machine (the paper's Figure 2 reverse process) with the pyramid's own
+// bank; cfg.Bank may be nil (see core.DistributedReconstruct).
 func DistributedReconstruct(p *Pyramid, cfg DistConfig) (*Image, error) {
 	im, _, err := core.DistributedReconstruct(p, cfg)
 	return im, err
@@ -180,16 +162,6 @@ func DistributedReconstruct(p *Pyramid, cfg DistConfig) (*Image, error) {
 // correlated spectral bands over shared terrain.
 func LandsatBands(rows, cols, bands int, seed uint64) []*Image {
 	return image.LandsatBands(rows, cols, bands, seed)
-}
-
-// DecomposeBatch decomposes a stream of images through a worker pool
-// (0 = GOMAXPROCS), preserving order; results equal per-image Decompose.
-//
-// Deprecated: use DecomposeAllWith(images, bank, WithLevels(levels),
-// WithWorkers(workers)). This wrapper delegates to it and stays
-// byte-identical.
-func DecomposeBatch(images []*Image, bank *FilterBank, levels, workers int) ([]*Pyramid, error) {
-	return DecomposeAllWith(images, bank, WithLevels(levels), WithWorkers(workers))
 }
 
 // PadToDecomposable rounds an image up to dimensions divisible by

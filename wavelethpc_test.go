@@ -7,7 +7,7 @@ import (
 
 func TestFacadeRoundTrip(t *testing.T) {
 	im := Landsat(64, 64, 1)
-	pyr, err := Decompose(im, Daubechies8(), 2)
+	pyr, err := DecomposeWith(im, Daubechies8(), WithLevels(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,11 +19,11 @@ func TestFacadeRoundTrip(t *testing.T) {
 
 func TestFacadeParallelMatchesSequential(t *testing.T) {
 	im := Landsat(64, 64, 2)
-	seq, err := Decompose(im, Haar(), 3)
+	seq, err := DecomposeWith(im, Haar(), WithLevels(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := ParallelDecompose(im, Haar(), 3, 4)
+	par, err := DecomposeWith(im, Haar(), WithLevels(3), WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,18 +60,23 @@ func TestFacadeMachines(t *testing.T) {
 
 func TestFacadeDistributed(t *testing.T) {
 	im := Landsat(128, 128, 3)
-	res, err := DistributedDecompose(im, DistConfig{
+	cfg := DistConfig{
 		Machine:   Paragon(),
 		Placement: SnakePlacement(4),
 		Procs:     4,
 		Bank:      Daubechies8(),
 		Levels:    1,
-	})
+	}
+	res, err := DistributedDecompose(im, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Sim.Elapsed <= 0 || res.Pyramid == nil {
 		t.Error("distributed facade result incomplete")
+	}
+	cfg.Bank = nil
+	if _, err := DistributedDecompose(im, cfg); err == nil {
+		t.Error("nil bank accepted")
 	}
 	if NaivePlacement(4).Name() != "naive" {
 		t.Error("naive placement facade wrong")
@@ -98,7 +103,7 @@ func TestFacadePGM(t *testing.T) {
 
 func TestFacadeDistributedReconstruct(t *testing.T) {
 	im := Landsat(128, 128, 6)
-	pyr, err := Decompose(im, Daubechies8(), 1)
+	pyr, err := DecomposeWith(im, Daubechies8(), WithLevels(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +120,15 @@ func TestFacadeDistributedReconstruct(t *testing.T) {
 	if psnr := PSNR(im, back); !math.IsInf(psnr, 1) && psnr < 120 {
 		t.Errorf("distributed reconstruction PSNR %g", psnr)
 	}
+	pyr.Bank = nil
+	if _, err := DistributedReconstruct(pyr, DistConfig{Machine: Paragon(), Placement: SnakePlacement(4), Procs: 4}); err == nil {
+		t.Error("pyramid without a bank accepted")
+	}
 }
 
 func TestFacadeBatchAndPadding(t *testing.T) {
 	bands := LandsatBands(64, 64, 3, 2)
-	pyrs, err := DecomposeBatch(bands, Daubechies8(), 2, 2)
+	pyrs, err := DecomposeAllWith(bands, Daubechies8(), WithLevels(2), WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +140,7 @@ func TestFacadeBatchAndPadding(t *testing.T) {
 	if padded.Rows%4 != 0 || padded.Cols%4 != 0 {
 		t.Error("padding not decomposable")
 	}
-	p, err := Decompose(padded, Haar(), 2)
+	p, err := DecomposeWith(padded, Haar(), WithLevels(2))
 	if err != nil {
 		t.Fatal(err)
 	}
